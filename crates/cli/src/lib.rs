@@ -2928,6 +2928,59 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_index_q_field_is_an_input_parse_error() {
+        use repute_genome::fasta::{write_fasta, FastaRecord};
+        use repute_genome::fastq::{write_fastq, FastqRecord};
+        use repute_genome::synth::ReferenceBuilder;
+
+        let dir = std::env::temp_dir().join("repute-cli-corrupt-q-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let reference = ReferenceBuilder::new(20_000).seed(22).build();
+        let ref_path = dir.join("ref.fa");
+        let index_path = dir.join("ref.rpx");
+        let reads_path = dir.join("reads.fq");
+        let mut f = Vec::new();
+        write_fasta(&mut f, &[FastaRecord::new("chrQ", reference.clone())], 70).unwrap();
+        std::fs::write(&ref_path, f).unwrap();
+        let reads = vec![FastqRecord::with_uniform_quality(
+            "r0",
+            reference.subseq(1_000..1_100),
+            40,
+        )];
+        let mut f = Vec::new();
+        write_fastq(&mut f, &reads).unwrap();
+        std::fs::write(&reads_path, f).unwrap();
+        run_index(&IndexOptions {
+            reference: ref_path.to_string_lossy().into_owned(),
+            output: index_path.to_string_lossy().into_owned(),
+        })
+        .unwrap();
+
+        // The q-gram length follows the "RPIX" magic and its u16 version.
+        let mut bytes = std::fs::read(&index_path).unwrap();
+        let at = bytes.windows(4).position(|w| w == b"RPIX").unwrap() + 6;
+        for q in [0u32, 12] {
+            bytes[at..at + 4].copy_from_slice(&q.to_le_bytes());
+            std::fs::write(&index_path, &bytes).unwrap();
+            let opts = parse_map_args(
+                format!(
+                    "--index {} --reads {} --output {}",
+                    index_path.display(),
+                    reads_path.display(),
+                    dir.join("out.sam").display()
+                )
+                .split_whitespace()
+                .map(String::from),
+            )
+            .unwrap();
+            let err = run_map(&opts).unwrap_err();
+            assert!(matches!(err, ReputeError::InputParse(_)), "q = {q}: {err}");
+            assert_eq!(err.exit_code(), 3, "q = {q}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn index_cache_hits_validates_and_rebuilds_on_stale() {
         use repute_genome::fasta::{write_fasta, FastaRecord};
         use repute_genome::fastq::{write_fastq, FastqRecord};

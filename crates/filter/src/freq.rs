@@ -23,14 +23,17 @@ use crate::oss::OssParams;
 /// optimisation.
 pub const MAX_EXTRA: usize = 16;
 
-/// One column of the table: seeds ending at a fixed read position.
-#[derive(Debug, Clone, Default)]
+/// Interval slots per column: one for each seed length `s_min..=s_min + MAX_EXTRA`.
+const STRIDE: usize = MAX_EXTRA + 1;
+
+/// Shape of one column of the table: seeds ending at a fixed read position.
+#[derive(Debug, Clone, Copy, Default)]
 struct Column {
-    /// `entries[i]` is the interval of the seed of length `s_min + i`;
-    /// lengths beyond the stored entries have zero occurrences unless the
-    /// column was capped (`capped == true`), in which case the deepest
-    /// entry approximates them.
-    entries: Vec<Interval>,
+    /// The column's first `len` slots hold the intervals of the seeds of
+    /// length `s_min..s_min + len`. Longer seeds have zero occurrences
+    /// unless the column was capped, in which case the deepest slot
+    /// approximates them.
+    len: u8,
     capped: bool,
 }
 
@@ -53,6 +56,9 @@ struct Column {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FreqTable {
+    /// Every column's intervals, `STRIDE` slots per column; column `c`
+    /// covers the seeds ending at read position `s_min + c`.
+    entries: Vec<Interval>,
     columns: Vec<Column>,
     read_len: usize,
     params: OssParams,
@@ -81,14 +87,16 @@ impl FreqTable {
             "read length {n} shorter than minimum seed length {s_min}"
         );
         let mut extend_ops = 0u64;
-        let mut columns = Vec::with_capacity(n - s_min + 1);
-        for p in s_min..=n {
+        let n_columns = n - s_min + 1;
+        let mut entries = vec![Interval { lo: 0, hi: 0 }; n_columns * STRIDE];
+        let mut columns = vec![Column::default(); n_columns];
+        for (p, (slots, column)) in
+            (s_min..=n).zip(entries.chunks_exact_mut(STRIDE).zip(&mut columns))
+        {
             let Some(depth_limit) = params.max_seed_len_at(p, n) else {
-                columns.push(Column::default()); // dead column: never probed
-                continue;
+                continue; // dead column: never probed
             };
             let depth = depth_limit.min(s_min + MAX_EXTRA);
-            let mut entries = Vec::new();
             let mut interval = fm.full_interval();
             let mut d = p;
             // First s_min extensions establish the shortest seed.
@@ -102,26 +110,31 @@ impl FreqTable {
                     break;
                 }
             }
-            let mut capped = false;
-            if alive {
-                entries.push(interval);
-                // Keep extending while occurrences remain, the seed can
-                // still grow, and the depth bound is not reached.
-                let floor = p - depth;
-                while d > floor {
-                    d -= 1;
-                    interval = fm.extend_left(interval, read[d]);
-                    extend_ops += 1;
-                    if interval.is_empty() {
-                        break;
-                    }
-                    entries.push(interval);
-                }
-                capped = d == floor && !interval.is_empty() && floor > 0;
+            if !alive {
+                continue; // no seed ending at p occurs
             }
-            columns.push(Column { entries, capped });
+            slots[0] = interval;
+            let mut len = 1;
+            // Keep extending while occurrences remain, the seed can still
+            // grow, and the depth bound is not reached.
+            let floor = p - depth;
+            while d > floor {
+                d -= 1;
+                interval = fm.extend_left(interval, read[d]);
+                extend_ops += 1;
+                if interval.is_empty() {
+                    break;
+                }
+                slots[len] = interval;
+                len += 1;
+            }
+            *column = Column {
+                len: len as u8,
+                capped: d == floor && !interval.is_empty() && floor > 0,
+            };
         }
         FreqTable {
+            entries,
             columns,
             read_len: n,
             params: *params,
@@ -191,20 +204,24 @@ impl FreqTable {
             len >= s_min,
             "seed length {len} below the table's minimum {s_min}"
         );
-        let column = &self.columns[end - s_min];
-        match column.entries.get(len - s_min) {
-            Some(&iv) => Some(iv),
-            None if column.capped => column.entries.last().copied(),
-            None => None,
-        }
+        let c = end - s_min;
+        let Column {
+            len: stored,
+            capped,
+        } = self.columns[c];
+        let slot = if len - s_min < stored as usize {
+            len - s_min
+        } else if capped {
+            stored as usize - 1
+        } else {
+            return None;
+        };
+        Some(self.entries[c * STRIDE + slot])
     }
 
     /// Approximate heap footprint of the table in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| c.entries.len() * std::mem::size_of::<Interval>())
-            .sum::<usize>()
+        self.entries.len() * std::mem::size_of::<Interval>()
             + self.columns.len() * std::mem::size_of::<Column>()
     }
 }
@@ -221,22 +238,53 @@ mod tests {
         (reference, fm)
     }
 
+    /// The interval the table must report for `read[start..end]`: none in a
+    /// dead column, else the exact interval of the seed clipped to its
+    /// column's depth — the seed itself below the cap, the capped suffix
+    /// above it.
+    fn expected_interval(
+        fm: &FmIndex,
+        read: &[u8],
+        params: &OssParams,
+        start: usize,
+        end: usize,
+    ) -> Option<Interval> {
+        let depth = params.max_seed_len_at(end, read.len())?;
+        let depth = depth.min(params.s_min() + MAX_EXTRA);
+        fm.interval(&read[start.max(end - depth)..end])
+    }
+
     #[test]
     fn counts_match_direct_backward_search_below_cap() {
         let (reference, fm) = setup();
-        let read = reference.subseq(1000..1100).to_codes();
         let params = OssParams::new(5, 12).unwrap();
-        let table = FreqTable::build(&fm, &read, &params);
-        for end in (12usize..=100).step_by(7) {
-            let min_start = end.saturating_sub(12 + MAX_EXTRA);
-            for start in (min_start..=end - 12).step_by(5) {
-                assert_eq!(
-                    table.count(start, end),
-                    fm.count(&read[start..end]),
-                    "seed {start}..{end}"
-                );
+        let (mut dead, mut capped) = (0, 0);
+        // 80 bases leave little slack over (δ+1)·s_min = 72, so some
+        // columns are dead; the 100-base read has capped columns.
+        for read_len in [100usize, 80] {
+            let read = reference.subseq(1000..1000 + read_len).to_codes();
+            let table = FreqTable::build(&fm, &read, &params);
+            for end in 12..=read_len {
+                for start in 0..=end - 12 {
+                    let want = expected_interval(&fm, &read, &params, start, end);
+                    assert_eq!(table.interval(start, end), want, "seed {start}..{end}");
+                    assert_eq!(table.count(start, end), want.map_or(0, Interval::width));
+                    match params.max_seed_len_at(end, read_len) {
+                        None => dead += 1,
+                        Some(depth) if end - start <= depth.min(12 + MAX_EXTRA) => {
+                            assert_eq!(
+                                table.count(start, end),
+                                fm.count(&read[start..end]),
+                                "seed {start}..{end}"
+                            );
+                        }
+                        Some(_) => capped += usize::from(want.is_some()),
+                    }
+                }
             }
         }
+        assert!(dead > 0, "no dead column exercised");
+        assert!(capped > 0, "no capped column exercised");
     }
 
     #[test]

@@ -6,12 +6,22 @@
 //! sampled suffix array. Left extension ([`FmIndex::extend_left`]) is the
 //! primitive the DP filtration reuses incrementally ("used FM-Index
 //! backward search in an efficient way to reduce memory accesses", §II-B).
+//!
+//! The BWT and its rank checkpoints share one array of 32-byte blocks of
+//! 64 rows each, so a rank query reads a single cache line and counts
+//! with one XOR, one mask and a popcount.
 
 use repute_genome::DnaSeq;
 
 use crate::bitvec::RankBitVec;
 use crate::bwt::{self, SENTINEL};
 use crate::suffix_array::SuffixArray;
+
+/// BWT rows covered by one `OccBlock`.
+const BLOCK_ROWS: usize = 64;
+
+/// The low bit of every 2-bit symbol slot in a block.
+const LOW_BITS: u64 = u64::MAX / 3;
 
 /// A half-open range of rows in the Burrows–Wheeler matrix.
 ///
@@ -43,31 +53,16 @@ impl Interval {
 /// Configures FM-Index sampling rates; see [`FmIndex::builder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FmBuilder {
-    occ_sample: usize,
     sa_sample: usize,
 }
 
 impl Default for FmBuilder {
     fn default() -> Self {
-        FmBuilder {
-            occ_sample: 128,
-            sa_sample: 32,
-        }
+        FmBuilder { sa_sample: 32 }
     }
 }
 
 impl FmBuilder {
-    /// Sets the Occ checkpoint spacing (rows between rank checkpoints).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows == 0`.
-    pub fn occ_sample(mut self, rows: usize) -> FmBuilder {
-        assert!(rows > 0, "occ sample rate must be positive");
-        self.occ_sample = rows;
-        self
-    }
-
     /// Sets the suffix-array sampling rate (text positions between samples).
     ///
     /// Larger rates shrink the index (the footprint reduction the paper's
@@ -91,9 +86,9 @@ impl FmBuilder {
 /// Memory footprint of an [`FmIndex`], in bytes per component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FmFootprint {
-    /// BWT symbol storage.
+    /// Packed 2-bit BWT symbols.
     pub bwt_bytes: usize,
-    /// Occ rank checkpoints.
+    /// Per-block base counts.
     pub occ_bytes: usize,
     /// Sampled suffix-array entries.
     pub sa_bytes: usize,
@@ -106,6 +101,21 @@ impl FmFootprint {
     pub fn total(&self) -> usize {
         self.bwt_bytes + self.occ_bytes + self.sa_bytes + self.mark_bytes
     }
+}
+
+/// One 64-row block of the rank structure: the base counts taken before
+/// the block, then the block's symbols as 2-bit codes. Blocks are 32 bytes
+/// and 32-byte aligned, so two share a 64-byte cache line and a rank query
+/// never straddles one.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct OccBlock {
+    /// Occurrences of each base in all rows before the block.
+    counts: [u32; 4],
+    /// Row `64·b + j` holds its base code at bits `2(j % 32)..` of word
+    /// `j / 32`. The sentinel row stores code 0; `FmIndex::occ` corrects
+    /// for it.
+    words: [u64; 2],
 }
 
 /// An FM-Index over a DNA reference.
@@ -132,14 +142,14 @@ impl FmFootprint {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FmIndex {
-    bwt: Vec<u8>,
+    /// The BWT with its rank checkpoints; always `n_rows / 64 + 1` blocks,
+    /// so `occ` at row `n_rows` needs no clamp.
+    blocks: Vec<OccBlock>,
+    /// The one row whose BWT symbol is the sentinel.
+    sentinel_row: u32,
     /// `first[s]` = number of symbols lexicographically smaller than `s`
     /// (internal alphabet: sentinel `0`, bases `1..=4`).
     first: [u32; 5],
-    /// Rank checkpoints: counts of each *base* symbol before every
-    /// `occ_sample`-th row.
-    occ_checkpoints: Vec<[u32; 4]>,
-    occ_sample: usize,
     /// Marks BWT rows whose suffix position is sampled.
     sampled_rows: RankBitVec,
     /// Suffix positions for marked rows, in row order.
@@ -149,8 +159,7 @@ pub struct FmIndex {
 }
 
 impl FmIndex {
-    /// Builds an index with default sampling (Occ every 128 rows, SA every
-    /// 32 positions).
+    /// Builds an index with default sampling (SA every 32 positions).
     pub fn build(reference: &DnaSeq) -> FmIndex {
         FmBuilder::default().build(reference)
     }
@@ -164,37 +173,12 @@ impl FmIndex {
         let codes = reference.to_codes();
         let sa = SuffixArray::from_codes(&codes);
         let bwt = bwt::transform_with_sa(&codes, &sa);
-        let n_rows = bwt.symbols.len();
-
-        // Symbol counts -> `first` array.
-        let mut counts = [0u32; 5];
-        for &s in &bwt.symbols {
-            counts[s as usize] += 1;
-        }
-        let mut first = [0u32; 5];
-        let mut sum = 0u32;
-        for s in 0..5 {
-            first[s] = sum;
-            sum += counts[s];
-        }
-
-        // Occ checkpoints.
-        let mut occ_checkpoints = Vec::with_capacity(n_rows / config.occ_sample + 1);
-        let mut running = [0u32; 4];
-        for (row, &s) in bwt.symbols.iter().enumerate() {
-            if row % config.occ_sample == 0 {
-                occ_checkpoints.push(running);
-            }
-            if s != SENTINEL {
-                running[(s - 1) as usize] += 1;
-            }
-        }
 
         // Sampled SA: row 0 is the sentinel suffix (conceptual position
         // `text_len`), never sampled. A text position p is sampled iff
         // p % sa_sample == 0, which always includes p = 0 so every LF walk
         // terminates.
-        let mut row_positions: Vec<Option<u32>> = vec![None; n_rows];
+        let mut row_positions: Vec<Option<u32>> = vec![None; bwt.symbols.len()];
         for (i, &p) in sa.positions().iter().enumerate() {
             if (p as usize).is_multiple_of(config.sa_sample) {
                 row_positions[i + 1] = Some(p);
@@ -202,16 +186,50 @@ impl FmIndex {
         }
         let sampled_rows = RankBitVec::from_bits(row_positions.iter().map(|p| p.is_some()));
         let sa_samples: Vec<u32> = row_positions.into_iter().flatten().collect();
+        FmIndex::from_symbols(&bwt.symbols, sampled_rows, sa_samples, config.sa_sample)
+    }
 
+    /// Packs byte-per-symbol BWT `symbols` (exactly one sentinel, bases
+    /// `1..=4`) into rank blocks and derives `first`.
+    fn from_symbols(
+        symbols: &[u8],
+        sampled_rows: RankBitVec,
+        sa_samples: Vec<u32>,
+        sa_sample: usize,
+    ) -> FmIndex {
+        let mut blocks = Vec::with_capacity(symbols.len() / BLOCK_ROWS + 1);
+        let mut running = [0u32; 4];
+        let mut sentinel_row = 0;
+        for start in (0..=symbols.len()).step_by(BLOCK_ROWS) {
+            let mut block = OccBlock {
+                counts: running,
+                words: [0; 2],
+            };
+            let end = symbols.len().min(start + BLOCK_ROWS);
+            for (j, &s) in symbols[start..end].iter().enumerate() {
+                if s == SENTINEL {
+                    sentinel_row = (start + j) as u32;
+                } else {
+                    let code = bwt::to_code(s);
+                    running[code as usize] += 1;
+                    block.words[j / 32] |= u64::from(code) << (2 * (j % 32));
+                }
+            }
+            blocks.push(block);
+        }
+        // The one sentinel sorts before every base.
+        let mut first = [0u32, 1, 0, 0, 0];
+        for code in 0..3 {
+            first[code + 2] = first[code + 1] + running[code];
+        }
         FmIndex {
-            bwt: bwt.symbols,
+            blocks,
+            sentinel_row,
             first,
-            occ_checkpoints,
-            occ_sample: config.occ_sample,
             sampled_rows,
             sa_samples,
-            sa_sample: config.sa_sample,
-            text_len: codes.len(),
+            sa_sample,
+            text_len: symbols.len() - 1,
         }
     }
 
@@ -220,27 +238,52 @@ impl FmIndex {
         self.text_len
     }
 
+    /// Number of BWT rows: the text's suffixes plus the sentinel suffix.
+    fn n_rows(&self) -> usize {
+        self.text_len + 1
+    }
+
     /// The interval covering every suffix (the backward-search start state).
     pub fn full_interval(&self) -> Interval {
         Interval {
             lo: 0,
-            hi: self.bwt.len() as u32,
+            hi: self.n_rows() as u32,
         }
+    }
+
+    /// BWT symbol of `row` in the internal alphabet.
+    #[inline]
+    fn symbol(&self, row: usize) -> u8 {
+        if row == self.sentinel_row as usize {
+            return SENTINEL;
+        }
+        let j = row % BLOCK_ROWS;
+        let word = self.blocks[row / BLOCK_ROWS].words[j / 32];
+        let code = (word >> (2 * (j % 32))) as u8 & 3;
+        bwt::to_symbol(code)
     }
 
     /// Rank of base `code` among BWT rows strictly before `row`.
     #[inline]
     fn occ(&self, code: u8, row: u32) -> u32 {
         let row = row as usize;
-        // `row == bwt.len()` (interval upper bound) can land one past the
-        // last checkpoint; clamp and scan the remainder.
-        let checkpoint = (row / self.occ_sample).min(self.occ_checkpoints.len() - 1);
-        let mut count = self.occ_checkpoints[checkpoint][code as usize];
-        let symbol = code + 1;
-        for &s in &self.bwt[checkpoint * self.occ_sample..row] {
-            if s == symbol {
-                count += 1;
-            }
+        let block = &self.blocks[row / BLOCK_ROWS];
+        let j = row % BLOCK_ROWS;
+        let before = (1u128 << (2 * j)) - 1;
+        let pattern = u64::from(code) * LOW_BITS;
+        // Slots equal to `code` XOR to 0b00; inverted, both bits are set,
+        // leaving one hit bit on the slot's low bit.
+        let hits = |word: u64, mask: u64| {
+            let same = !(word ^ pattern);
+            same & (same >> 1) & LOW_BITS & mask
+        };
+        let low = hits(block.words[0], before as u64);
+        let high = hits(block.words[1], (before >> 64) as u64);
+        // Hits sit on even bits only, so both words fold into one popcount.
+        let mut count = block.counts[code as usize] + (low | high << 1).count_ones();
+        // The sentinel is stored as code 0: drop it if it was counted.
+        if code == 0 && (row - j..row).contains(&(self.sentinel_row as usize)) {
+            count -= 1;
         }
         count
     }
@@ -257,7 +300,7 @@ impl FmIndex {
     pub fn extend_left(&self, interval: Interval, code: u8) -> Interval {
         assert!(code <= 3, "base code {code} out of range");
         assert!(
-            interval.hi as usize <= self.bwt.len() && interval.lo <= interval.hi,
+            interval.hi as usize <= self.n_rows() && interval.lo <= interval.hi,
             "interval {interval:?} out of range"
         );
         let base = self.first[(code + 1) as usize];
@@ -298,7 +341,7 @@ impl FmIndex {
     /// One LF-mapping step: the row of the suffix one position to the left.
     #[inline]
     fn lf(&self, row: u32) -> u32 {
-        let s = self.bwt[row as usize];
+        let s = self.symbol(row as usize);
         if s == SENTINEL {
             0
         } else {
@@ -314,7 +357,7 @@ impl FmIndex {
     /// or out of range.
     pub fn position_of_row(&self, row: u32) -> u32 {
         assert!(
-            row > 0 && (row as usize) < self.bwt.len(),
+            row > 0 && (row as usize) < self.n_rows(),
             "row {row} has no text position"
         );
         let mut row = row;
@@ -350,22 +393,25 @@ impl FmIndex {
     }
 
     /// Serialises the index to a binary stream (the `repute` CLI's
-    /// prebuilt-index format). Only the BWT and the suffix-array samples —
-    /// the expensive-to-rebuild parts — are stored; rank checkpoints are
-    /// reconstructed on load.
+    /// prebuilt-index format). Only the BWT, one byte per symbol, and the
+    /// suffix-array samples — the expensive-to-rebuild parts — are stored;
+    /// rank blocks are rebuilt on load. The header's occ field records the
+    /// block size, 64; loaders accept any non-zero value there.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `out` (a `&mut` writer is accepted).
     pub fn write_to<W: std::io::Write>(&self, mut out: W) -> std::io::Result<()> {
+        let n_rows = self.n_rows();
         out.write_all(b"RPFM")?;
         out.write_all(&1u16.to_le_bytes())?;
-        out.write_all(&(self.occ_sample as u32).to_le_bytes())?;
+        out.write_all(&(BLOCK_ROWS as u32).to_le_bytes())?;
         out.write_all(&(self.sa_sample as u32).to_le_bytes())?;
         out.write_all(&(self.text_len as u64).to_le_bytes())?;
-        out.write_all(&(self.bwt.len() as u64).to_le_bytes())?;
-        out.write_all(&self.bwt)?;
-        let marked: Vec<u32> = (0..self.bwt.len())
+        out.write_all(&(n_rows as u64).to_le_bytes())?;
+        let symbols: Vec<u8> = (0..n_rows).map(|row| self.symbol(row)).collect();
+        out.write_all(&symbols)?;
+        let marked: Vec<u32> = (0..n_rows)
             .filter(|&row| self.sampled_rows.get(row))
             .map(|row| row as u32)
             .collect();
@@ -402,8 +448,10 @@ impl FmIndex {
         }
         let mut b4 = [0u8; 4];
         let mut b8 = [0u8; 8];
+        // The occ field is the writer's checkpoint spacing; rank blocks are
+        // rebuilt at 64 rows whatever it says.
         input.read_exact(&mut b4)?;
-        let occ_sample = u32::from_le_bytes(b4) as usize;
+        let occ_sample = u32::from_le_bytes(b4);
         input.read_exact(&mut b4)?;
         let sa_sample = u32::from_le_bytes(b4) as usize;
         if occ_sample == 0 || sa_sample == 0 {
@@ -447,27 +495,6 @@ impl FmIndex {
             *slot = u32::from_le_bytes(b4);
         }
 
-        // Rebuild the derived structures (cheap linear passes).
-        let mut counts = [0u32; 5];
-        for &s in &bwt {
-            counts[s as usize] += 1;
-        }
-        let mut first = [0u32; 5];
-        let mut sum = 0u32;
-        for s in 0..5 {
-            first[s] = sum;
-            sum += counts[s];
-        }
-        let mut occ_checkpoints = Vec::with_capacity(bwt_len / occ_sample + 1);
-        let mut running = [0u32; 4];
-        for (row, &s) in bwt.iter().enumerate() {
-            if row % occ_sample == 0 {
-                occ_checkpoints.push(running);
-            }
-            if s != SENTINEL {
-                running[(s - 1) as usize] += 1;
-            }
-        }
         let mut marked_iter = marked.iter().peekable();
         let sampled_rows = RankBitVec::from_bits((0..bwt_len).map(|row| {
             if marked_iter.peek() == Some(&&(row as u32)) {
@@ -477,23 +504,20 @@ impl FmIndex {
                 false
             }
         }));
-        Ok(FmIndex {
-            bwt,
-            first,
-            occ_checkpoints,
-            occ_sample,
+        Ok(FmIndex::from_symbols(
+            &bwt,
             sampled_rows,
             sa_samples,
             sa_sample,
-            text_len,
-        })
+        ))
     }
 
     /// Reports the index's memory footprint per component.
     pub fn footprint(&self) -> FmFootprint {
+        let blocks = self.blocks.len();
         FmFootprint {
-            bwt_bytes: self.bwt.len(),
-            occ_bytes: self.occ_checkpoints.len() * std::mem::size_of::<[u32; 4]>(),
+            bwt_bytes: blocks * std::mem::size_of::<[u64; 2]>(),
+            occ_bytes: blocks * std::mem::size_of::<[u32; 4]>(),
             sa_bytes: self.sa_samples.len() * 4,
             mark_bytes: self.sampled_rows.heap_bytes(),
         }
@@ -610,15 +634,71 @@ mod tests {
         assert_eq!(Some(interval), fm.interval(pattern));
     }
 
+    /// Byte-scan rank oracle: occurrences of base `code` in `symbols[..row]`.
+    fn oracle_occ(symbols: &[u8], code: u8, row: usize) -> u32 {
+        symbols[..row]
+            .iter()
+            .filter(|&&s| s == bwt::to_symbol(code))
+            .count() as u32
+    }
+
+    /// Asserts that `extend_left` from every row `0..=n_rows` and for every
+    /// base agrees with the byte-scan oracle over `symbols`.
+    fn assert_extend_matches_oracle(fm: &FmIndex, symbols: &[u8]) {
+        assert_eq!(fm.n_rows(), symbols.len());
+        for code in 0..4u8 {
+            let base = fm.first[(code + 1) as usize];
+            for row in 0..=symbols.len() as u32 {
+                let iv = fm.extend_left(Interval { lo: row, hi: row }, code);
+                let want = base + oracle_occ(symbols, code, row as usize);
+                assert_eq!(iv, Interval { lo: want, hi: want }, "code {code} row {row}");
+            }
+        }
+        for (row, &s) in symbols.iter().enumerate() {
+            assert_eq!(fm.symbol(row), s, "symbol at row {row}");
+        }
+    }
+
     #[test]
-    fn occ_sampling_rates_agree() {
-        let reference = ReferenceBuilder::new(3000).seed(10).build();
-        let codes = reference.to_codes();
-        let coarse = FmIndex::builder().occ_sample(512).build(&reference);
-        let fine = FmIndex::builder().occ_sample(1).build(&reference);
-        for start in (0..2900).step_by(97) {
-            let pattern = &codes[start..start + 14];
-            assert_eq!(coarse.count(pattern), fine.count(pattern));
+    fn packed_occ_matches_byte_scan_on_real_bwts() {
+        let mut rng = StdRng::seed_from_u64(31);
+        // n_rows = len + 1, so lengths 63 and 127 land on a block boundary.
+        for len in (62..=66).chain(126..=130) {
+            for _ in 0..8 {
+                let codes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4)).collect();
+                let fm = FmIndex::build(&DnaSeq::from_codes(&codes).unwrap());
+                assert_extend_matches_oracle(&fm, &bwt::transform(&codes).symbols);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_occ_matches_byte_scan_for_every_sentinel_placement() {
+        let mut rng = StdRng::seed_from_u64(32);
+        for n_rows in (63..=67).chain(127..=131) {
+            let last = n_rows - 1;
+            for sentinel_row in [0, last, 62, 63, 64, 65, 126, 127, 128] {
+                if sentinel_row >= n_rows {
+                    continue;
+                }
+                let mut symbols: Vec<u8> = (0..n_rows).map(|_| rng.gen_range(1..=4)).collect();
+                symbols[sentinel_row] = SENTINEL;
+                let fm = FmIndex::from_symbols(&symbols, RankBitVec::from_bits([]), Vec::new(), 1);
+                assert_eq!(fm.sentinel_row as usize, sentinel_row);
+                assert_extend_matches_oracle(&fm, &symbols);
+            }
+        }
+    }
+
+    #[test]
+    fn rank_blocks_cover_the_final_row() {
+        assert_eq!(std::mem::size_of::<OccBlock>(), 32);
+        assert_eq!(std::mem::align_of::<OccBlock>(), 32);
+        for len in [63usize, 64, 127] {
+            let seq = DnaSeq::from_codes(&vec![2u8; len]).unwrap();
+            let fm = FmIndex::build(&seq);
+            assert_eq!(fm.blocks.len(), fm.n_rows() / BLOCK_ROWS + 1);
+            assert_eq!(fm.count(&[2]), len as u32);
         }
     }
 
@@ -653,10 +733,7 @@ mod tests {
     fn serialisation_round_trips_and_answers_identically() {
         let reference = ReferenceBuilder::new(30_000).seed(88).build();
         let codes = reference.to_codes();
-        let fm = FmIndex::builder()
-            .sa_sample(8)
-            .occ_sample(64)
-            .build(&reference);
+        let fm = FmIndex::builder().sa_sample(8).build(&reference);
         let mut buf = Vec::new();
         fm.write_to(&mut buf).unwrap();
         let back = FmIndex::read_from(buf.as_slice()).unwrap();
@@ -672,6 +749,39 @@ mod tests {
                 assert_eq!(a, b);
             }
         }
+    }
+
+    #[test]
+    fn streams_with_the_old_occ_spacing_load_identically() {
+        let reference = ReferenceBuilder::new(5_000).seed(90).build();
+        let codes = reference.to_codes();
+        let fm = FmIndex::builder().sa_sample(8).build(&reference);
+        let mut buf = Vec::new();
+        fm.write_to(&mut buf).unwrap();
+        // Header: magic, version, occ field, sa field, text len, BWT len;
+        // then the BWT one byte per symbol.
+        assert_eq!(buf[6..10], 64u32.to_le_bytes());
+        let bwt_start = 4 + 2 + 4 + 4 + 8 + 8;
+        assert_eq!(
+            buf[bwt_start..bwt_start + codes.len() + 1],
+            bwt::transform(&codes).symbols[..]
+        );
+        // Earlier writers recorded their checkpoint spacing, 128, here.
+        buf[6..10].copy_from_slice(&128u32.to_le_bytes());
+        let old = FmIndex::read_from(buf.as_slice()).unwrap();
+        for start in (0..4_980).step_by(53) {
+            for len in [1usize, 6, 15] {
+                let pattern = &codes[start..start + len];
+                assert_eq!(old.count(pattern), fm.count(pattern));
+                let iv = fm.interval(pattern).expect("pattern occurs");
+                assert_eq!(old.interval(pattern), Some(iv));
+                assert_eq!(old.locate(iv, usize::MAX), fm.locate(iv, usize::MAX));
+            }
+        }
+        let mut again = Vec::new();
+        old.write_to(&mut again).unwrap();
+        buf[6..10].copy_from_slice(&64u32.to_le_bytes());
+        assert_eq!(again, buf);
     }
 
     #[test]

@@ -9,9 +9,6 @@
 
 use repute_genome::DnaSeq;
 
-/// Maximum supported q (keeps the direct-address table ≤ 4 MiB of offsets).
-pub const MAX_Q: usize = 11;
-
 /// A direct-addressed index of all q-gram positions in a reference.
 ///
 /// # Example
@@ -37,13 +34,18 @@ pub struct QGramIndex {
 }
 
 impl QGramIndex {
+    /// Largest gram length [`QGramIndex::build`] accepts (keeps the
+    /// direct-address table ≤ 16 MiB of offsets).
+    pub const MAX_Q: usize = 11;
+
     /// Builds the index of all `q`-grams of `reference`.
     ///
     /// # Panics
     ///
-    /// Panics if `q == 0` or `q > MAX_Q`.
+    /// Panics if `q == 0` or `q > Self::MAX_Q`.
     pub fn build(reference: &DnaSeq, q: usize) -> QGramIndex {
-        assert!(q > 0 && q <= MAX_Q, "q {q} out of 1..={MAX_Q}");
+        let max_q = Self::MAX_Q;
+        assert!(q > 0 && q <= max_q, "q {q} out of 1..={max_q}");
         let codes = reference.to_codes();
         let buckets = 1usize << (2 * q);
         let mut counts = vec![0u32; buckets + 1];

@@ -1,5 +1,7 @@
 //! The mapper interface shared by every baseline and by REPUTE itself.
 
+use std::sync::OnceLock;
+
 use repute_genome::{DnaSeq, Strand};
 
 /// One reported mapping location.
@@ -42,7 +44,10 @@ pub struct IndexedReference {
     seq: DnaSeq,
     codes: Vec<u8>,
     fm: repute_index::FmIndex,
-    qgram: repute_index::QGramIndex,
+    q: usize,
+    /// Built on the first [`Self::qgram`] call: only the hash-index
+    /// baselines read it, and it costs about 20 MB on a 4 Mbp reference.
+    qgram: OnceLock<repute_index::QGramIndex>,
     prefilter_bins: repute_prefilter::QgramBins,
 }
 
@@ -61,18 +66,20 @@ impl IndexedReference {
     ///
     /// Panics under the conditions of [`repute_index::QGramIndex::build`].
     pub fn build_with_q(seq: DnaSeq, q: usize) -> IndexedReference {
+        let max_q = repute_index::QGramIndex::MAX_Q;
+        assert!(q > 0 && q <= max_q, "q {q} out of 1..={max_q}");
         let codes = seq.to_codes();
         // Denser SA sampling than the library default: mapping locates
         // millions of candidate positions, so the memory/locate-speed
         // trade leans toward speed here (the ablation bench sweeps it).
         let fm = repute_index::FmIndex::builder().sa_sample(8).build(&seq);
-        let qgram = repute_index::QGramIndex::build(&seq, q);
         let prefilter_bins = repute_prefilter::QgramBins::build_default(&codes);
         IndexedReference {
             seq,
             codes,
             fm,
-            qgram,
+            q,
+            qgram: OnceLock::new(),
             prefilter_bins,
         }
     }
@@ -92,9 +99,10 @@ impl IndexedReference {
         &self.fm
     }
 
-    /// The q-gram hash index over the reference.
+    /// The q-gram hash index over the reference, built on first use.
     pub fn qgram(&self) -> &repute_index::QGramIndex {
-        &self.qgram
+        self.qgram
+            .get_or_init(|| repute_index::QGramIndex::build(&self.seq, self.q))
     }
 
     /// The pre-alignment q-gram existence bins (GRIM-style), built with
@@ -116,8 +124,8 @@ impl IndexedReference {
 
     /// Serialises the index to a binary stream: the packed sequence, the
     /// FM-Index (BWT + SA samples), and the q-gram length. The q-gram
-    /// index itself is rebuilt on load (one linear pass — far cheaper
-    /// than the suffix-array construction the FM payload avoids).
+    /// index itself is rebuilt on first use (one linear pass — far
+    /// cheaper than the suffix-array construction the FM payload avoids).
     ///
     /// # Errors
     ///
@@ -125,7 +133,7 @@ impl IndexedReference {
     pub fn write_to<W: std::io::Write>(&self, mut out: W) -> std::io::Result<()> {
         out.write_all(b"RPIX")?;
         out.write_all(&1u16.to_le_bytes())?;
-        out.write_all(&(self.qgram.q() as u32).to_le_bytes())?;
+        out.write_all(&(self.q as u32).to_le_bytes())?;
         self.seq.write_packed(&mut out)?;
         self.fm.write_to(&mut out)
     }
@@ -135,8 +143,8 @@ impl IndexedReference {
     /// # Errors
     ///
     /// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic,
-    /// version, or payload mismatch, and propagates I/O errors from
-    /// `input` (a `&mut` reader is accepted).
+    /// version, q-gram length, or payload mismatch, and propagates I/O
+    /// errors from `input` (a `&mut` reader is accepted).
     pub fn read_from<R: std::io::Read>(mut input: R) -> std::io::Result<IndexedReference> {
         fn bad(msg: &str) -> std::io::Error {
             std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
@@ -154,19 +162,22 @@ impl IndexedReference {
         let mut b4 = [0u8; 4];
         input.read_exact(&mut b4)?;
         let q = u32::from_le_bytes(b4) as usize;
+        if q == 0 || q > repute_index::QGramIndex::MAX_Q {
+            return Err(bad("q-gram length out of range"));
+        }
         let seq = DnaSeq::read_packed(&mut input)?;
         let fm = repute_index::FmIndex::read_from(&mut input)?;
         if fm.text_len() != seq.len() {
             return Err(bad("FM-Index does not match the stored sequence"));
         }
         let codes = seq.to_codes();
-        let qgram = repute_index::QGramIndex::build(&seq, q);
         let prefilter_bins = repute_prefilter::QgramBins::build_default(&codes);
         Ok(IndexedReference {
             seq,
             codes,
             fm,
-            qgram,
+            q,
+            qgram: OnceLock::new(),
             prefilter_bins,
         })
     }
@@ -257,5 +268,48 @@ mod tests {
             ..a
         };
         assert_ne!(a, b);
+    }
+
+    fn small_index() -> IndexedReference {
+        let seq = repute_genome::synth::ReferenceBuilder::new(3_000)
+            .seed(5)
+            .build();
+        IndexedReference::build_with_q(seq, 6)
+    }
+
+    #[test]
+    fn qgram_index_is_built_on_first_use_and_survives_a_round_trip() {
+        let indexed = small_index();
+        assert!(indexed.qgram.get().is_none());
+        let mut buf = Vec::new();
+        indexed.write_to(&mut buf).unwrap();
+        let back = IndexedReference::read_from(buf.as_slice()).unwrap();
+        assert!(back.qgram.get().is_none());
+        assert_eq!(back.qgram().q(), 6);
+        let gram = &indexed.codes()[100..106];
+        assert_eq!(
+            back.qgram().positions(gram),
+            indexed.qgram().positions(gram)
+        );
+    }
+
+    #[test]
+    fn corrupt_q_field_is_invalid_data() {
+        let mut buf = Vec::new();
+        small_index().write_to(&mut buf).unwrap();
+        // "RPIX", the u16 version, then the u32 q-gram length.
+        for q in [0u32, 12] {
+            let mut bad = buf.clone();
+            bad[6..10].copy_from_slice(&q.to_le_bytes());
+            let err = IndexedReference::read_from(bad.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "q = {q}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of 1..=11")]
+    fn out_of_range_q_panics_at_build() {
+        let seq: DnaSeq = "ACGTACGT".parse().unwrap();
+        let _ = IndexedReference::build_with_q(seq, 12);
     }
 }

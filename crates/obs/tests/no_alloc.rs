@@ -4,20 +4,30 @@
 //! `MapMetrics` arithmetic plus virtual calls into [`NoopSink`]. A
 //! counting global allocator asserts that none of it touches the heap —
 //! the acceptance bar for threading instrumentation through the mapper.
+//! Allocations are counted per thread, so tests running in parallel do
+//! not see each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use repute_obs::{Counter, Histogram, MapMetrics, MetricsSink, NoopSink};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -26,7 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -35,9 +45,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
@@ -83,4 +93,13 @@ fn counter_and_histogram_recording_never_allocates() {
     assert_eq!(allocs, 0, "counter/histogram recording allocated");
     assert_eq!(counter.get(), 10_000);
     assert_eq!(hist.count(), 10_000);
+}
+
+#[test]
+fn counter_sees_this_threads_allocations() {
+    let allocs = allocations_during(|| {
+        black_box(vec![0u8; 64]);
+        black_box(String::from("heap"));
+    });
+    assert_eq!(allocs, 2);
 }
